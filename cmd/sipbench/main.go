@@ -20,6 +20,8 @@
 //	                                    # query, cached replay vs interactive
 //	sipbench -experiment shard          # shard scaling: concurrent queries over
 //	                                    # S engine processes behind the router
+//	sipbench -experiment splitshard     # split-universe scaling: one dataset
+//	                                    # sliced across S engines
 //	sipbench -experiment all
 //
 // -maxlogu bounds the sweeps (default 20 multi-round, 16 one-round; the
@@ -51,7 +53,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run (fig2a fig2b fig2c fig3a fig3b tamper branching gkr freq ipv6 mux fanout shard all)")
+	experiment := flag.String("experiment", "all", "which experiment to run (fig2a fig2b fig2c fig3a fig3b tamper branching gkr freq ipv6 mux fanout shard splitshard all)")
 	maxLogU := flag.Int("maxlogu", 20, "largest log2(u) for multi-round sweeps")
 	maxLogUOne := flag.Int("maxlogu1", 16, "largest log2(u) for one-round sweeps (prover is Θ(u^{3/2}))")
 	span := flag.Uint64("span", 1000, "SUB-VECTOR query span (the paper uses 1000)")

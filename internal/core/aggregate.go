@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/field"
@@ -168,6 +169,11 @@ func (v *FkVerifier) SpaceWords() int {
 
 // ---------------------------------------------------------------------
 
+// errObserveAfterOpen refuses a stream update to a prover whose
+// sum-check has opened: the live sum-check reads the table in place until
+// its first fold, so a late update would silently corrupt the transcript.
+var errObserveAfterOpen = errors.New("core: prover cannot observe updates after Open")
+
 // FkProver is the honest prover: it stores the full frequency vector
 // (O(min(u,n)) space) and spends O(K·u) field operations across all
 // rounds (Appendix B.1).
@@ -185,10 +191,11 @@ func (p *Fk) NewProver() *FkProver {
 
 // NewProverFromTable returns a prover over a prebuilt dense frequency
 // table (the field image of the counts, length Params.U), borrowed
-// read-only — typically a dataset-engine snapshot. Construction is O(1):
-// no stream is replayed, and the sum-check copies the table at Open, so
-// many sessions can share one snapshot. The transcript is bit-identical
-// to a streaming prover that observed any stream aggregating to the same
+// read-only — typically a dataset-engine snapshot. Construction is O(1)
+// and no stream is replayed; the sum-check reads the table in place and
+// writes only its own fold buffers, so many sessions can share one
+// snapshot without copying it. The transcript is bit-identical to a
+// streaming prover that observed any stream aggregating to the same
 // table.
 func (p *Fk) NewProverFromTable(table []field.Elem) (*FkProver, error) {
 	if uint64(len(table)) != p.Params.U {
@@ -197,10 +204,14 @@ func (p *Fk) NewProverFromTable(table []field.Elem) (*FkProver, error) {
 	return &FkProver{proto: p, table: table, shared: true}, nil
 }
 
-// Observe folds one stream update into the frequency vector.
+// Observe folds one stream update into the frequency vector. It fails
+// once Open has run: the sum-check reads the table in place.
 func (pr *FkProver) Observe(up stream.Update) error {
 	if pr.shared {
 		return fmt.Errorf("core: prover built from a snapshot cannot observe updates")
+	}
+	if pr.sc != nil {
+		return errObserveAfterOpen
 	}
 	if up.Index >= pr.proto.Params.U {
 		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
@@ -217,8 +228,7 @@ func (pr *FkProver) Open() (Msg, error) {
 		return Msg{}, err
 	}
 	pr.sc = sc
-	claim := sc.Total()
-	g1, err := sc.RoundMessage()
+	claim, g1, err := sc.OpenMessage()
 	if err != nil {
 		return Msg{}, err
 	}
@@ -366,13 +376,17 @@ func (p *InnerProduct) NewProver() *InnerProductProver {
 	}
 }
 
-// ObserveA folds an update of stream A.
+// ObserveA folds an update of stream A. ObserveA and ObserveB fail once
+// Open has run: the sum-check reads both tables in place.
 func (pr *InnerProductProver) ObserveA(up stream.Update) error { return pr.observe(0, up) }
 
 // ObserveB folds an update of stream B.
 func (pr *InnerProductProver) ObserveB(up stream.Update) error { return pr.observe(1, up) }
 
 func (pr *InnerProductProver) observe(t int, up stream.Update) error {
+	if pr.sc != nil {
+		return errObserveAfterOpen
+	}
 	if up.Index >= pr.proto.Params.U {
 		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
 	}
@@ -388,8 +402,7 @@ func (pr *InnerProductProver) Open() (Msg, error) {
 		return Msg{}, err
 	}
 	pr.sc = sc
-	claim := sc.Total()
-	g1, err := sc.RoundMessage()
+	claim, g1, err := sc.OpenMessage()
 	if err != nil {
 		return Msg{}, err
 	}
@@ -574,10 +587,13 @@ func (p *RangeSum) NewProverFromTable(table []field.Elem) (*RangeSumProver, erro
 	return &RangeSumProver{proto: p, table: table, shared: true}, nil
 }
 
-// Observe folds one (key, value) pair.
+// Observe folds one (key, value) pair. It fails once Open has run.
 func (pr *RangeSumProver) Observe(up stream.Update) error {
 	if pr.shared {
 		return fmt.Errorf("core: prover built from a snapshot cannot observe updates")
+	}
+	if pr.sc != nil {
+		return errObserveAfterOpen
 	}
 	if up.Index >= pr.proto.Params.U {
 		return fmt.Errorf("core: index %d outside universe [0,%d)", up.Index, pr.proto.Params.U)
@@ -610,8 +626,7 @@ func (pr *RangeSumProver) Open() (Msg, error) {
 		return Msg{}, err
 	}
 	pr.sc = sc
-	claim := sc.Total()
-	g1, err := sc.RoundMessage()
+	claim, g1, err := sc.OpenMessage()
 	if err != nil {
 		return Msg{}, err
 	}

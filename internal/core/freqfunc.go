@@ -351,18 +351,37 @@ func (pr *FrequencyBasedProver) Step(challenge Msg) (Msg, error) {
 	}
 }
 
-// openSumcheck builds the residual table ã (heavy entries zeroed),
-// interpolates h̃ on {0,…,T−1}, and emits the sum-check opening.
+// openSumcheck emits the sum-check opening over the residual instance.
 func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
+	cfg, table, err := pr.residual()
+	if err != nil {
+		return Msg{}, err
+	}
+	sc, err := sumcheck.NewProver(cfg, table)
+	if err != nil {
+		return Msg{}, err
+	}
+	pr.sc = sc
+	claim, g1, err := sc.OpenMessage()
+	if err != nil {
+		return Msg{}, err
+	}
+	return Msg{Elems: append([]field.Elem{claim}, g1...)}, nil
+}
+
+// residual builds the sum-check instance of the second phase: the
+// residual table ã (heavy entries zeroed) under the combiner h̃, which
+// interpolates h on {0,…,T−1}.
+func (pr *FrequencyBasedProver) residual() (sumcheck.Config, []field.Elem, error) {
 	if pr.proto.H == nil {
-		return Msg{}, fmt.Errorf("core: statistic h not set")
+		return sumcheck.Config{}, nil, fmt.Errorf("core: statistic h not set")
 	}
 	threshold := pr.hh.threshold
 	if threshold < 1 {
-		return Msg{}, fmt.Errorf("core: heavy-hitter phase not run")
+		return sumcheck.Config{}, nil, fmt.Errorf("core: heavy-hitter phase not run")
 	}
 	if threshold > maxInterpolationDegree {
-		return Msg{}, fmt.Errorf("core: threshold %d exceeds supported degree %d", threshold, maxInterpolationDegree)
+		return sumcheck.Config{}, nil, fmt.Errorf("core: threshold %d exceeds supported degree %d", threshold, maxInterpolationDegree)
 	}
 	f := pr.proto.F
 	table := make([]field.Elem, pr.proto.LdeParams.U)
@@ -371,7 +390,7 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 			continue
 		}
 		if c < 0 {
-			return Msg{}, fmt.Errorf("core: frequency-based protocols require non-negative frequencies (index %d has %d)", i, c)
+			return sumcheck.Config{}, nil, fmt.Errorf("core: frequency-based protocols require non-negative frequencies (index %d has %d)", i, c)
 		}
 		if c >= threshold {
 			continue // heavy: removed from the residual stream
@@ -387,7 +406,7 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 	}
 	htilde, err := poly.Interpolate(f, xs, ys)
 	if err != nil {
-		return Msg{}, err
+		return sumcheck.Config{}, nil, err
 	}
 	cfg := sumcheck.Config{
 		Field:    f,
@@ -395,15 +414,5 @@ func (pr *FrequencyBasedProver) openSumcheck() (Msg, error) {
 		Combiner: sumcheck.PolyFn{H: htilde, MinDegree: int(threshold) - 1},
 		Workers:  pr.proto.Workers,
 	}
-	sc, err := sumcheck.NewProver(cfg, table)
-	if err != nil {
-		return Msg{}, err
-	}
-	pr.sc = sc
-	claim := sc.Total()
-	g1, err := sc.RoundMessage()
-	if err != nil {
-		return Msg{}, err
-	}
-	return Msg{Elems: append([]field.Elem{claim}, g1...)}, nil
+	return cfg, table, nil
 }

@@ -181,8 +181,12 @@ func (p *MultiFk) NewProver() *MultiFkProver {
 	return &MultiFkProver{proto: p, tables: tables}
 }
 
-// Observe folds one update of the slot-th stream.
+// Observe folds one update of the slot-th stream. It fails once Open has
+// run: the sum-checks read the tables in place.
 func (pr *MultiFkProver) Observe(slot int, up stream.Update) error {
+	if pr.scs != nil {
+		return errObserveAfterOpen
+	}
 	if slot < 0 || slot >= len(pr.tables) {
 		return fmt.Errorf("core: slot %d out of range", slot)
 	}
@@ -205,11 +209,11 @@ func (pr *MultiFkProver) Open() (Msg, error) {
 			return Msg{}, err
 		}
 		pr.scs[slot] = sc
-		claims[slot] = sc.Total()
-		g1, err := sc.RoundMessage()
+		claim, g1, err := sc.OpenMessage()
 		if err != nil {
 			return Msg{}, err
 		}
+		claims[slot] = claim
 		body = append(body, g1...)
 	}
 	return Msg{Elems: append(claims, body...)}, nil

@@ -95,8 +95,7 @@ func (pr *PartialProver) Open() (Msg, error) {
 		return Msg{}, err
 	}
 	pr.sc = sc
-	claim := sc.Total()
-	g1, err := sc.RoundMessage()
+	claim, g1, err := sc.OpenMessage()
 	if err != nil {
 		return Msg{}, err
 	}

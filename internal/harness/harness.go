@@ -376,9 +376,10 @@ type ColdWarmRow struct {
 // into a budgeted, durable engine rooted at dir, evicts the dataset by
 // admitting a decoy, then times an F2 query cold (transparent
 // rehydration) and warm (already resident). Transcripts are identical
-// either way; only setup latency differs.
-func ColdWarmF2(f field.Field, u uint64, n int, seed uint64, workers int, dir string) (ColdWarmRow, error) {
-	row := ColdWarmRow{U: u, N: uint64(n)}
+// either way; only setup latency differs. The engine is closed before
+// returning, so no eviction save is still writing under dir.
+func ColdWarmF2(f field.Field, u uint64, n int, seed uint64, workers int, dir string) (row ColdWarmRow, err error) {
+	row = ColdWarmRow{U: u, N: uint64(n)}
 	params, err := lde.ParamsForUniverse(u, 2)
 	if err != nil {
 		return row, err
@@ -387,6 +388,11 @@ func ColdWarmF2(f field.Field, u uint64, n int, seed uint64, workers int, dir st
 	if err := eng.SetDataDir(dir); err != nil {
 		return row, err
 	}
+	defer func() {
+		if cerr := eng.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	eng.SetBudget(int64(params.U) * 16) // exactly one resident dataset
 
 	ups := stream.UnitIncrements(u, n, field.NewSplitMix64(seed))

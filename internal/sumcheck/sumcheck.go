@@ -168,15 +168,22 @@ func (c Config) Validate() error {
 // ---------------------------------------------------------------------
 // Prover
 
-// Prover is the honest prover: it stores the full frequency tables and
-// answers each round from progressively folded copies. All table scans
-// fan out across cfg.Workers goroutines in contiguous chunks; since field
-// arithmetic is exact and partials are combined in chunk order, the
-// transcript is bit-identical for every worker count.
+// Prover is the honest prover: it reads the caller's full tables in place
+// for round 1 and answers later rounds from progressively folded copies.
+// All table scans fan out across cfg.Workers goroutines in contiguous
+// chunks; since field arithmetic is exact and partials are combined in
+// chunk order, the transcript is bit-identical for every worker count.
 type Prover struct {
 	cfg     Config
 	workers int
-	tables  [][]field.Elem
+	// tables are the current round's tables: the caller's borrowed slices
+	// until the first Fold, then views into bufs.
+	tables [][]field.Elem
+	// bufs[t] is table t's fold scratch, allocated at the first Fold: its
+	// first U/ℓ entries take the folds of even rounds, the remaining U/ℓ²
+	// those of odd rounds. A fold's source is always the other half (or
+	// the borrowed table), so the prover never writes what it reads.
+	bufs    [][]field.Elem
 	chiAt   [][]field.Elem // chiAt[c][k] = χ_k(c) for evaluation points c=0..deg
 	cElems  []field.Elem   // cElems[c] = c as a field element
 	weights []field.Elem   // Lagrange basis weights for arbitrary-point folds
@@ -216,8 +223,10 @@ func (p *Prover) fuseKind() int {
 }
 
 // NewProver builds a prover over explicit tables, one per combiner slot,
-// each of length exactly ℓ^d. Tables are copied; the caller's slices are
-// not modified.
+// each of length exactly ℓ^d. Tables are borrowed, not copied: the prover
+// never writes them, but reads them in place until its first Fold, so the
+// caller must not modify them before then. Every later round reads only
+// the prover's own fold buffers.
 func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -225,12 +234,10 @@ func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 	if len(tables) != cfg.Combiner.Arity() {
 		return nil, fmt.Errorf("sumcheck: combiner arity %d but %d tables", cfg.Combiner.Arity(), len(tables))
 	}
-	own := make([][]field.Elem, len(tables))
 	for t, tab := range tables {
 		if uint64(len(tab)) != cfg.Params.U {
 			return nil, fmt.Errorf("sumcheck: table %d has %d entries, want %d", t, len(tab), cfg.Params.U)
 		}
-		own[t] = append([]field.Elem(nil), tab...)
 	}
 	deg := cfg.degree()
 	weights := lde.BasisWeights(cfg.Field, cfg.Params.Ell)
@@ -242,16 +249,19 @@ func NewProver(cfg Config, tables ...[]field.Elem) (*Prover, error) {
 	return &Prover{
 		cfg:     cfg,
 		workers: parallel.Workers(cfg.Workers),
-		tables:  own,
+		// Folds replace entries, so keep the caller's slice of slices intact.
+		tables:  append([][]field.Elem(nil), tables...),
 		chiAt:   chiAt,
 		cElems:  cElems,
 		weights: weights,
 	}, nil
 }
 
-// Total returns the true value of the sum — the answer the prover claims.
-// The square and product combiners reduce to a lazy-accumulating dot
-// product; other combiners walk the tables through Apply.
+// Total returns the true value of the sum — the answer the prover claims —
+// from a separate pass over the current tables. The square and product
+// combiners reduce to a lazy-accumulating dot product; other combiners
+// walk the tables through Apply. OpenMessage yields the same value without
+// the extra pass.
 func (p *Prover) Total() field.Elem {
 	f := p.cfg.Field
 	switch c := p.cfg.Combiner.(type) {
@@ -287,6 +297,25 @@ func (p *Prover) parallelDot(a, b []field.Elem) field.Elem {
 		partials[chunk] = f.DotSlices(a[lo:hi], b[lo:hi])
 	})
 	return f.SumSlice(partials)
+}
+
+// OpenMessage opens the conversation: it returns the claimed total and the
+// round-1 message g_1(0..deg) from one pass over the tables. The claim is
+// Σ_{c<ℓ} g_1(c), exactly the sum the verifier checks g_1 against, so it
+// equals Total. It must be called in place of round 1's RoundMessage.
+func (p *Prover) OpenMessage() (field.Elem, []field.Elem, error) {
+	if p.round != 0 {
+		return 0, nil, fmt.Errorf("sumcheck: opening requested at round %d", p.round+1)
+	}
+	msg, err := p.RoundMessage()
+	if err != nil {
+		return 0, nil, err
+	}
+	claim, err := poly.SumPrefix(p.cfg.Field, msg, p.cfg.Params.Ell)
+	if err != nil {
+		return 0, nil, err
+	}
+	return claim, msg, nil
 }
 
 // RoundMessage computes the evaluations g_j(0..deg) for the current round.
@@ -382,8 +411,7 @@ func (p *Prover) foldFused(kind int, r field.Elem) {
 	npairs := size / 2
 	partials := make([][3]field.Elem, parallel.Chunks(p.workers, npairs))
 	if kind == fuseSq {
-		tab := p.tables[0]
-		next := make([]field.Elem, size)
+		tab, next := p.tables[0], p.foldDst(0, size)
 		parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
 			g0, g1, g2 := f.FoldPairsSumSq(next[2*lo:2*hi], tab[4*lo:4*hi], r)
 			partials[chunk] = [3]field.Elem{g0, g1, g2}
@@ -391,8 +419,7 @@ func (p *Prover) foldFused(kind int, r field.Elem) {
 		p.tables[0] = next
 	} else {
 		tabA, tabB := p.tables[0], p.tables[1]
-		nextA := make([]field.Elem, size)
-		nextB := make([]field.Elem, size)
+		nextA, nextB := p.foldDst(0, size), p.foldDst(1, size)
 		parallel.For(p.workers, npairs, func(chunk, lo, hi int) {
 			g0, g1, g2 := f.FoldPairsSumProd(
 				nextA[2*lo:2*hi], nextB[2*lo:2*hi],
@@ -432,7 +459,7 @@ func (p *Prover) Fold(r field.Elem) error {
 	}
 	for t, tab := range p.tables {
 		size := len(tab) / ell
-		next := make([]field.Elem, size)
+		next := p.foldDst(t, size)
 		if ell == 2 {
 			parallel.For(p.workers, size, func(_, lo, hi int) {
 				// (1-r)·T0 + r·T1 = T0 + r·(T1-T0).
@@ -449,6 +476,23 @@ func (p *Prover) Fold(r field.Elem) error {
 	}
 	p.round++
 	return nil
+}
+
+// foldDst returns the size-entry destination of the current round's fold
+// of table t: the U/ℓ half of its buffer in even rounds, the U/ℓ² half in
+// odd ones. The buffers are allocated together at the first Fold.
+func (p *Prover) foldDst(t, size int) []field.Elem {
+	first := int(p.cfg.Params.U) / p.cfg.Params.Ell
+	if p.bufs == nil {
+		p.bufs = make([][]field.Elem, len(p.tables))
+		for i := range p.bufs {
+			p.bufs[i] = make([]field.Elem, first+first/p.cfg.Params.Ell)
+		}
+	}
+	if p.round%2 == 0 {
+		return p.bufs[t][:size]
+	}
+	return p.bufs[t][first : first+size]
 }
 
 // Round reports the current round index (0-based; equals the number of
